@@ -43,7 +43,6 @@ import pytest
 from repro.bench.recording import record_run
 from repro.bench.workloads import synthetic_workload
 from repro.index.geometry import Rect
-from repro.index.transformed import transformed_range_search
 from repro.storage.columnar import transform_full_record
 from repro.timeseries.transforms import moving_average_spectral
 
@@ -126,9 +125,9 @@ def _reference_index_range(workload, records, query, epsilon, transformation,
         query_record = transform_full_record(*query_record, transformation)
         query_point = index._transform_point(features.point, linear)  # noqa: SLF001
     low, high = index.space.search_rectangle(query_point, epsilon)
-    candidates = transformed_range_search(
-        index.tree, Rect(low, high), real_map,
-        overlap=index._overlap_predicate())  # noqa: SLF001
+    candidates = index.tree.search_many(
+        [Rect(low, high)], periodic_dims=index.space.periodic_dimension_mask(),
+        transformation=real_map)[0]
     answers = []
     for record_id in candidates:
         distance = _reference_distance(records[record_id], query_record,

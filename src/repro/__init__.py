@@ -63,6 +63,7 @@ from .core.errors import (
     CostExceededError,
     DeadlineExceededError,
     DimensionMismatchError,
+    InvalidObjectError,
     PatternError,
     ProtocolError,
     QueryBuildError,
@@ -177,7 +178,8 @@ __all__ = [
     "AdditiveCostModel", "CostBudget", "MaxCostModel",
     "Database", "DistanceProvider", "Relation", "Row",
     "city_block", "euclidean", "euclidean_with_early_abandon",
-    "ReproError", "DimensionMismatchError", "UnsafeTransformationError",
+    "ReproError", "DimensionMismatchError", "InvalidObjectError",
+    "UnsafeTransformationError",
     "CatalogError", "CostExceededError", "PatternError", "QuerySyntaxError",
     "QueryBuildError", "QueryPlanningError",
     "SessionClosedError", "QueryCancelledError", "DeadlineExceededError",

@@ -17,6 +17,16 @@ class DimensionMismatchError(ReproError):
     """Two vectors, points, or rectangles do not live in the same space."""
 
 
+class InvalidObjectError(ReproError, ValueError):
+    """A data object was built from values it cannot hold: NaN or infinite
+    observations, no observations at all, or the wrong shape.
+
+    Raised by the object's constructor, so a bad row or query parameter is
+    refused before any relation, index, store or log sees it.  Also a
+    :class:`ValueError`, the built-in error for bad values.
+    """
+
+
 class UnsafeTransformationError(ReproError):
     """A transformation violates the safety condition required by an index.
 

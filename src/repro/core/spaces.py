@@ -271,23 +271,36 @@ class PolarSpace(FeatureSpace):
         extra real coordinates.
         """
         self._check_point(query)
-        values = query.values
-        low = np.asarray(low, dtype=np.float64)
-        high = np.asarray(high, dtype=np.float64)
-        total = 0.0
-        for dim in range(self.num_extra):
-            if values[dim] < low[dim]:
-                total += (low[dim] - values[dim]) ** 2
-            elif values[dim] > high[dim]:
-                total += (values[dim] - high[dim]) ** 2
-        for i in range(self.num_features):
-            mag_dim = self.num_extra + 2 * i
-            ang_dim = mag_dim + 1
-            d = _sector_distance(values[mag_dim], values[ang_dim],
-                                 max(0.0, low[mag_dim]), high[mag_dim],
-                                 low[ang_dim], high[ang_dim])
-            total += d ** 2
-        return math.sqrt(total)
+        return self.mindist_to_rectangles(
+            query.values, np.asarray(low, dtype=np.float64).reshape(1, -1),
+            np.asarray(high, dtype=np.float64).reshape(1, -1))[0]
+
+    def mindist_to_rectangles(self, values: np.ndarray, lows: np.ndarray,
+                              highs: np.ndarray) -> list[float]:
+        """:meth:`mindist_to_rectangle` from the point ``values`` to every row
+        of the ``(n, d)`` corner arrays ``lows`` / ``highs``.
+
+        Runs on Python floats (``tolist`` rows): at R-tree node sizes a
+        scalar loop costs less than numpy's per-call overhead would.
+        """
+        point = values.tolist()
+        extra = self.num_extra
+        bounds = []
+        for low, high in zip(lows.tolist(), highs.tolist()):
+            total = 0.0
+            for dim in range(extra):
+                if point[dim] < low[dim]:
+                    total += (low[dim] - point[dim]) ** 2
+                elif point[dim] > high[dim]:
+                    total += (point[dim] - high[dim]) ** 2
+            for mag_dim in range(extra, len(point), 2):
+                ang_dim = mag_dim + 1
+                d = _sector_distance(point[mag_dim], point[ang_dim],
+                                     max(0.0, low[mag_dim]), high[mag_dim],
+                                     low[ang_dim], high[ang_dim])
+                total += d ** 2
+            bounds.append(math.sqrt(total))
+        return bounds
 
     def periodic_dimension_mask(self) -> np.ndarray:
         """Phase-angle coordinates wrap around; magnitudes and extras do not."""
@@ -331,13 +344,14 @@ def _distance_to_ray_segment(magnitude: float, angle_gap: float,
                              radius_low: float, radius_high: float) -> float:
     """Distance from the point (magnitude, angle gap from the ray) to the
     segment of the ray between the two radii."""
-    projection = magnitude * math.cos(angle_gap)
+    cosine = math.cos(angle_gap)
+    projection = magnitude * cosine
     if projection < radius_low:
         return math.sqrt(max(0.0, magnitude ** 2 + radius_low ** 2
-                             - 2.0 * magnitude * radius_low * math.cos(angle_gap)))
+                             - 2.0 * magnitude * radius_low * cosine))
     if projection > radius_high:
         return math.sqrt(max(0.0, magnitude ** 2 + radius_high ** 2
-                             - 2.0 * magnitude * radius_high * math.cos(angle_gap)))
+                             - 2.0 * magnitude * radius_high * cosine))
     return abs(magnitude * math.sin(angle_gap))
 
 
@@ -348,13 +362,16 @@ def _sector_distance(magnitude: float, angle: float, radius_low: float,
     t in [angle_low, angle_high]} (the angular interval is taken modulo 2*pi)."""
     if radius_high < radius_low:
         radius_low, radius_high = radius_high, radius_low
-    if angle_high - angle_low >= TWO_PI:
+    width = angle_high - angle_low
+    if width >= TWO_PI:
         # Full annulus: only the radial gap matters.
         return max(0.0, radius_low - magnitude, magnitude - radius_high)
-    mid = (angle_low + angle_high) / 2.0
-    half_width = (angle_high - angle_low) / 2.0
-    if _angular_difference(angle, mid) <= half_width + 1e-15:
+    gap = _angular_difference(angle, (angle_low + angle_high) / 2.0)
+    if gap <= width / 2.0 + 1e-15:
         return max(0.0, radius_low - magnitude, magnitude - radius_high)
+    if width == 0.0:
+        # A single ray (every point entry): both edges are the midline.
+        return _distance_to_ray_segment(magnitude, gap, radius_low, radius_high)
     gap_low = _angular_difference(angle, angle_low)
     gap_high = _angular_difference(angle, angle_high)
     return min(_distance_to_ray_segment(magnitude, gap_low, radius_low, radius_high),

@@ -15,7 +15,8 @@ import numpy as np
 
 from ..core.errors import DimensionMismatchError
 
-__all__ = ["Rect", "mindist", "minmaxdist", "mindist_batch", "overlap_matrix"]
+__all__ = ["Rect", "mindist", "minmaxdist", "mindist_batch", "overlap_matrix",
+           "overlap_pairs"]
 
 TWO_PI = 2.0 * math.pi
 
@@ -258,7 +259,22 @@ def overlap_matrix(lows: np.ndarray, highs: np.ndarray,
     ``lows``/``highs`` describe ``n`` entry rectangles as ``(n, d)`` arrays;
     ``window_lows``/``window_highs`` describe ``q`` query windows as
     ``(q, d)`` arrays.  The result is an ``(n, q)`` boolean matrix whose
-    ``[i, j]`` element says whether entry ``i`` intersects window ``j``.
+    ``[i, j]`` element says whether entry ``i`` intersects window ``j`` (see
+    :func:`overlap_pairs` for the test itself).
+    """
+    return overlap_pairs(lows[:, None, :], highs[:, None, :],
+                         window_lows[None, :, :], window_highs[None, :, :],
+                         periodic_dims)
+
+
+def overlap_pairs(lows: np.ndarray, highs: np.ndarray,
+                  window_lows: np.ndarray, window_highs: np.ndarray,
+                  periodic_dims: np.ndarray | None = None) -> np.ndarray:
+    """Rectangle-overlap tests of paired rows: entry ``i`` against window ``i``.
+
+    All four corner arrays have the coordinates on their last axis and
+    broadcast against each other over the leading axes; ``(p, d)`` inputs
+    give a ``(p,)`` result.
 
     ``periodic_dims`` is an optional ``(d,)`` boolean mask marking wrap-around
     dimensions (the polar representation's phase angles); those dimensions use
@@ -276,20 +292,16 @@ def overlap_matrix(lows: np.ndarray, highs: np.ndarray,
         periodic_dims = np.asarray(periodic_dims, dtype=bool)
         has_periodic = bool(periodic_dims.any())
         plain = ~periodic_dims if has_periodic else slice(None)
-    result = np.all(
-        (lows[:, None, plain] <= window_highs[None, :, plain])
-        & (window_lows[None, :, plain] <= highs[:, None, plain]),
-        axis=-1,
-    )
+    result = np.all((lows[..., plain] <= window_highs[..., plain])
+                    & (window_lows[..., plain] <= highs[..., plain]), axis=-1)
     if has_periodic:
         angular = np.nonzero(periodic_dims)[0]
-        entry_half = (highs[:, angular] - lows[:, angular]) * 0.5
-        entry_center = lows[:, angular] + entry_half
-        window_half = (window_highs[:, angular] - window_lows[:, angular]) * 0.5
-        window_center = window_lows[:, angular] + window_half
-        gap = np.abs((entry_center[:, None, :] - window_center[None, :, :]
-                      + math.pi) % TWO_PI - math.pi)
-        hits = gap <= entry_half[:, None, :] + window_half[None, :, :]
-        wide = (entry_half >= math.pi)[:, None, :] | (window_half >= math.pi)[None, :, :]
+        entry_half = (highs[..., angular] - lows[..., angular]) * 0.5
+        entry_center = lows[..., angular] + entry_half
+        window_half = (window_highs[..., angular] - window_lows[..., angular]) * 0.5
+        window_center = window_lows[..., angular] + window_half
+        gap = np.abs((entry_center - window_center + math.pi) % TWO_PI - math.pi)
+        hits = gap <= entry_half + window_half
+        wide = (entry_half >= math.pi) | (window_half >= math.pi)
         result &= np.all(hits | wide, axis=-1)
     return result

@@ -12,15 +12,16 @@ evaluation:
    a transformation is supplied it is applied to the query features and
    lowered (safely) to a per-coordinate map for the index's space; the
    epsilon-ball around the query point becomes a search rectangle.
-2. **Search** — the R-tree is traversed, transforming every bounding
-   rectangle on the fly (Algorithm 2), yielding *candidates*.  Keeping only
-   ``k`` coefficients can produce false hits but — by Parseval — never false
+2. **Search** — the R-tree is traversed one level at a time, transforming
+   every bounding rectangle on the fly (Algorithm 2, vectorised per level by
+   :meth:`RTree.search_many`), yielding *candidates*.  Keeping only ``k``
+   coefficients can produce false hits but — by Parseval — never false
    dismissals (Lemma 1).
 3. **Postprocessing** — the candidates' full records live in the index's
    :class:`~repro.storage.columnar.ColumnarRecordStore`; they are gathered
-   and their exact distances computed as **one batch kernel call per query**
-   (one per whole batch on the grouped path), instead of fetching and
-   scoring Python records one at a time.
+   and their exact distances computed as **one kernel call per batch** (a
+   single query is a batch of one), instead of fetching and scoring Python
+   records one at a time.
 
 The class also supports nearest-neighbour queries and index-probe all-pairs
 (self-join) queries under a transformation.
@@ -28,9 +29,11 @@ The class also supports nearest-neighbour queries and index-probe all-pairs
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,19 +48,52 @@ from ..storage.columnar import (
     transform_full_record,
 )
 from ..storage.pages import PageStore
-from ..timeseries.features import (
-    SeriesFeatureExtractor,
-    SeriesFeatures,
-    record_distance,
-)
+from ..timeseries.features import SeriesFeatureExtractor, SeriesFeatures
 from ..timeseries.series import TimeSeries
 from ..timeseries.transforms import SpectralTransformation
-from .geometry import Rect
+from .geometry import Rect, mindist_batch
 from .rstar import RStarTree
 from .rtree import RTree
-from .transformed import transformed_nearest_neighbors_iter, transformed_range_search
 
 __all__ = ["QueryStatistics", "RangeQueryResult", "NearestNeighborResult", "KIndex"]
+
+#: Lower bounds on the distance to every entry of a node, from the node's
+#: ``(n, d)`` corner arrays.
+LowerBounds = Callable[[np.ndarray, np.ndarray], list[float]]
+#: Exact distances of a leaf's records, from their record ids.
+LeafScorer = Callable[[np.ndarray], list[float]]
+
+
+def _best_first(tree: RTree, lower_bounds: LowerBounds, score: LeafScorer
+                ) -> Iterator[tuple[float, int, float]]:
+    """Yield ``(lower bound, record id, exact distance)`` in ascending bound
+    order (ties in push order) from a best-first traversal of ``tree``.
+
+    Nodes open in the order of
+    :func:`~repro.index.transformed.transformed_nearest_neighbors_iter`, and
+    only when the caller pulls past them.  Each opened node is bounded with
+    one ``lower_bounds`` call and each opened leaf scored with one ``score``
+    call, so a record's exact distance is ready when it is pulled.
+    """
+    counter = itertools.count(1)
+    heap: list[tuple[float, int, bool, int, float]] = [(0.0, 0, False, tree.root_id, 0.0)]
+    while heap:
+        bound, _, is_record, payload, distance = heapq.heappop(heap)
+        if is_record:
+            yield bound, payload, distance
+            continue
+        node = tree.visit(payload)
+        if not node.entries:
+            continue
+        lows, highs, payloads = tree.node_arrays(node)
+        bounds = lower_bounds(lows, highs)
+        if node.is_leaf:
+            for entry_bound, record_id, exact in zip(bounds, payloads.tolist(),
+                                                     score(payloads)):
+                heapq.heappush(heap, (entry_bound, next(counter), True, record_id, exact))
+        else:
+            for entry_bound, child_id in zip(bounds, payloads.tolist()):
+                heapq.heappush(heap, (entry_bound, next(counter), False, child_id, 0.0))
 
 
 @dataclass
@@ -289,77 +325,50 @@ class KIndex:
             )
         return linear, linear.to_real(self.space)
 
-    def _full_transformed(self, features: SeriesFeatures,
-                          transformation: SpectralTransformation | None
-                          ) -> tuple[np.ndarray, float, float]:
-        """Full coefficient record (and stats) after applying the transformation."""
-        return transform_full_record(features.full_coefficients, features.mean,
+    def _prepare_query(self, query: TimeSeries | FeatureVector,
+                       transformation: SpectralTransformation | None,
+                       linear: LinearTransformation | None, transform_query: bool
+                       ) -> tuple[tuple[np.ndarray, float, float], FeatureVector]:
+        """The query's full record and index point, both transformed unless
+        there is no transformation or ``transform_query`` is off."""
+        features = self._query_features(query)
+        if transformation is None or not transform_query:
+            return ((features.full_coefficients, features.mean, features.std),
+                    features.point)
+        full = transform_full_record(features.full_coefficients, features.mean,
                                      features.std, transformation,
                                      owner="stored record")
-
-    def _exact_distance(self, a: tuple[np.ndarray, float, float],
-                        b: tuple[np.ndarray, float, float]) -> float:
-        return record_distance(a, b, self.extractor.include_stats)
-
-    def _overlap_predicate(self):
-        """Rectangle-overlap test aware of the polar layout's periodic angles."""
-        if not isinstance(self.space, PolarSpace):
-            return None
-        space = self.space
-
-        def overlap(a: Rect, b: Rect) -> bool:
-            for dim in range(space.dimension):
-                is_angle = dim >= space.num_extra and (dim - space.num_extra) % 2 == 1
-                if is_angle:
-                    if not PolarSpace.angle_intervals_overlap(a.low[dim], a.high[dim],
-                                                              b.low[dim], b.high[dim]):
-                        return False
-                else:
-                    if a.low[dim] > b.high[dim] or b.low[dim] > a.high[dim]:
-                        return False
-            return True
-
-        return overlap
+        return full, self._transform_point(features.point, linear)
 
     # ------------------------------------------------------------------
-    # verification kernels
+    # postprocessing without verification
     # ------------------------------------------------------------------
-    def _verify_candidates(self, candidates: Sequence[int],
-                           query_full: tuple[np.ndarray, float, float],
-                           transformation: SpectralTransformation | None,
-                           epsilon: float,
-                           result: RangeQueryResult) -> None:
-        """Exact-distance postprocessing of one candidate list, as a single
-        gathered kernel call over the columnar store."""
-        result.statistics.postprocessed = len(candidates)
-        if not candidates:
-            return
-        candidate_ids = np.asarray(candidates, dtype=np.intp)
-        coefficients, means, stds = self.store.transformed_arrays(transformation)
-        distances = exact_distances(coefficients, self.store.lengths, means, stds,
-                                    *query_full, self.extractor.include_stats,
-                                    row_ids=candidate_ids)
-        keep = np.nonzero(distances <= epsilon)[0]
-        order = keep[np.argsort(distances[keep], kind="stable")]
-        result.answers = [(self.store.series(int(candidate_ids[i])),
-                           float(distances[i])) for i in order]
+    def _filter_answers(self, candidates: Sequence[int], query_point: FeatureVector,
+                        linear: LinearTransformation | None,
+                        epsilon: float) -> list[tuple[TimeSeries, float]]:
+        """``exact=False`` postprocessing: candidates within ``epsilon`` by
+        their (transformed) *filter* distance, nearest first."""
+        answers = []
+        for record_id in candidates:
+            point = self._transform_point(FeatureVector(self._point_rows[record_id]),
+                                          linear)
+            distance = self.space.distance(point, query_point)
+            if distance <= epsilon:
+                answers.append((self.store.series(record_id), distance))
+        answers.sort(key=lambda pair: pair[1])
+        return answers
 
     # ------------------------------------------------------------------
-    # traversal hooks (overridden by the partitioned facade)
+    # traversal hook (overridden by the partitioned facade; range searches
+    # go through ``tree.search_many``, which the partition forest fans out
+    # itself)
     # ------------------------------------------------------------------
-    def _range_candidates(self, window: Rect,
-                          real_map: RealLinearTransformation | None) -> list[int]:
-        """Candidate record ids of one transformed window search."""
-        return transformed_range_search(self.tree, window, real_map,
-                                        overlap=self._overlap_predicate())
-
-    def _nearest_candidate_iter(self, query_point: FeatureVector,
-                                real_map: RealLinearTransformation | None,
-                                distance_to_rect):
-        """``(filter lower bound, record id)`` pairs in ascending bound order."""
-        return transformed_nearest_neighbors_iter(
-            self.tree, query_point.values, transformation=real_map,
-            distance_to_rect=distance_to_rect)
+    def _nearest_candidate_iter(self, lower_bounds: LowerBounds,
+                                score: LeafScorer
+                                ) -> Iterator[tuple[float, int, float]]:
+        """``(filter lower bound, record id, exact distance)`` triples in
+        ascending bound order."""
+        return _best_first(self.tree, lower_bounds, score)
 
     # ------------------------------------------------------------------
     # queries
@@ -389,43 +398,11 @@ class KIndex:
             When ``False`` postprocessing is skipped and candidates are
             returned with their *filter* distance — useful for measuring the
             false-hit rate of the index alone.
+
+        Runs as a batch of one (:meth:`range_query_batch`).
         """
-        if epsilon < 0:
-            raise ValueError("epsilon must be non-negative")
-        started = time.perf_counter()
-        self.tree.reset_stats()
-        linear, real_map = self._lower_transformation(transformation)
-
-        query_features = self._query_features(query)
-        if transformation is not None and transform_query:
-            query_full = self._full_transformed(query_features, transformation)
-            query_point = self._transform_point(query_features.point, linear)
-        else:
-            query_full = (query_features.full_coefficients, query_features.mean,
-                          query_features.std)
-            query_point = query_features.point
-
-        low, high = self.space.search_rectangle(query_point, epsilon)
-        window = Rect(low, high)
-        candidates = self._range_candidates(window, real_map)
-        result = RangeQueryResult()
-        result.statistics.candidates = len(candidates)
-        if exact:
-            self._verify_candidates(candidates, query_full, transformation,
-                                    epsilon, result)
-        else:
-            for record_id in candidates:
-                transformed_point = self._transform_point(
-                    FeatureVector(self._point_rows[record_id]), linear)
-                distance = self.space.distance(transformed_point, query_point)
-                if distance <= epsilon:
-                    result.answers.append((self.store.series(record_id), distance))
-            result.answers.sort(key=lambda pair: pair[1])
-        result.statistics.node_accesses = self.tree.access_stats.total
-        result.statistics.record_fetches = result.statistics.postprocessed
-        self._snapshot_tree_stats(result.statistics)
-        result.statistics.elapsed_seconds = time.perf_counter() - started
-        return result
+        return self.range_query_batch([query], epsilon, transformation=transformation,
+                                      transform_query=transform_query, exact=exact)[0]
 
     def range_query_batch(self, queries: Sequence[TimeSeries | FeatureVector],
                           epsilon: float | Sequence[float], *,
@@ -434,17 +411,15 @@ class KIndex:
                           exact: bool = True) -> list[RangeQueryResult]:
         """Answer a batch of range queries with one shared tree traversal.
 
-        All query windows are probed together: every tree node on the way is
-        visited once for the whole batch and the entry-versus-window overlap
-        tests run as vectorised numpy kernels (see :meth:`RTree.search_many`);
+        All query windows are probed together, under the transformation if
+        one is given: every tree node on the way is visited once for the
+        whole batch and each level's entry-versus-window overlap tests run
+        as one vectorised kernel (see :meth:`RTree.search_many`);
         exact-distance postprocessing gathers **all candidates of all
         queries** into a single kernel call over the columnar store.  Answers
         are identical to calling :meth:`range_query` once per query.
 
-        ``epsilon`` may be a single threshold or one per query.  Queries
-        under a ``transformation`` fall back to the per-query path (rectangle
-        images must be transformed node by node), still returning one result
-        per query.
+        ``epsilon`` may be a single threshold or one per query.
 
         Each result's ``node_accesses`` reports the *shared* traversal total,
         which is the batch's actual I/O cost — summing it over the batch
@@ -455,45 +430,35 @@ class KIndex:
                                    (len(queries),))
         if np.any(epsilons < 0):
             raise ValueError("epsilon must be non-negative")
-        if transformation is not None:
-            return [self.range_query(query, float(eps),
-                                     transformation=transformation,
-                                     transform_query=transform_query, exact=exact)
-                    for query, eps in zip(queries, epsilons)]
         if not queries:
             return []
         started = time.perf_counter()
         self.tree.reset_stats()
+        linear, real_map = self._lower_transformation(transformation)
         query_fulls = []
-        windows = []
         query_points = []
+        windows = []
         for query, eps in zip(queries, epsilons):
-            features = self._query_features(query)
-            query_fulls.append((features.full_coefficients, features.mean,
-                                features.std))
-            query_points.append(features.point)
-            low, high = self.space.search_rectangle(features.point, float(eps))
-            windows.append(Rect(low, high))
+            full, point = self._prepare_query(query, transformation, linear,
+                                              transform_query)
+            query_fulls.append(full)
+            query_points.append(point)
+            windows.append(Rect(*self.space.search_rectangle(point, float(eps))))
         candidate_lists = self.tree.search_many(
-            windows, periodic_dims=self.space.periodic_dimension_mask())
+            windows, periodic_dims=self.space.periodic_dimension_mask(),
+            transformation=real_map)
         shared_accesses = self.tree.access_stats.total
         results = [RangeQueryResult() for _ in queries]
         for result, candidates in zip(results, candidate_lists):
             result.statistics.candidates = len(candidates)
             result.statistics.node_accesses = shared_accesses
         if exact:
-            self._verify_batch(candidate_lists, query_fulls, epsilons, results)
+            self._verify_batch(candidate_lists, query_fulls, transformation,
+                               epsilons, results)
         else:
             for index, candidates in enumerate(candidate_lists):
-                result = results[index]
-                for record_id in candidates:
-                    distance = self.space.distance(
-                        FeatureVector(self._point_rows[record_id]),
-                        query_points[index])
-                    if distance <= float(epsilons[index]):
-                        result.answers.append((self.store.series(record_id),
-                                               distance))
-                result.answers.sort(key=lambda pair: pair[1])
+                results[index].answers = self._filter_answers(
+                    candidates, query_points[index], linear, float(epsilons[index]))
         elapsed_share = (time.perf_counter() - started) / len(queries)
         for result in results:
             if exact:
@@ -505,6 +470,7 @@ class KIndex:
 
     def _verify_batch(self, candidate_lists: Sequence[Sequence[int]],
                       query_fulls: list[tuple[np.ndarray, float, float]],
+                      transformation: SpectralTransformation | None,
                       epsilons: np.ndarray,
                       results: list[RangeQueryResult]) -> None:
         """One gathered verification pass for a whole batch of range queries."""
@@ -525,9 +491,10 @@ class KIndex:
             query_matrix[position, :full[0].shape[0]] = full[0]
         query_means = np.array([full[1] for full in query_fulls])
         query_stds = np.array([full[2] for full in query_fulls])
+        coefficients, means, stds = self.store.transformed_arrays(transformation)
         distances = gathered_pair_distances(
-            self.store.coefficients, self.store.lengths, self.store.means,
-            self.store.stds, self.extractor.include_stats, row_ids,
+            coefficients, self.store.lengths, means, stds,
+            self.extractor.include_stats, row_ids,
             query_matrix, query_lengths, query_means, query_stds, query_index)
         offset = 0
         for index, count in enumerate(counts):
@@ -547,8 +514,7 @@ class KIndex:
         """Nearest-neighbour queries for a batch, one result per query.
 
         Best-first search cannot share a traversal across different query
-        points, so batching here amortises setup only; the per-node MINDIST
-        evaluations are already vectorised inside the tree.
+        points, so batching here amortises setup only.
         """
         return [self.nearest_neighbors(query, k, transformation=transformation,
                                        transform_query=transform_query)
@@ -559,52 +525,59 @@ class KIndex:
                           transform_query: bool = True) -> NearestNeighborResult:
         """The ``k`` indexed series nearest to the query (exact distances).
 
-        The search pulls candidates from an incremental MINDIST
+        The search pulls candidates from an incremental best-first
         branch-and-bound over transformed rectangles (filter distances are
-        lower bounds on exact distances), postprocesses each with its full
-        record, and stops as soon as the next filter lower bound exceeds the
-        current k-th exact distance — so the answer is exact, not merely a
-        re-ranking of a fixed candidate pool.  Candidates arrive one at a
-        time by construction (each pull can tighten the stopping bound), so
-        verification stays incremental here; the records still come from the
-        columnar store rather than per-record Python objects.
+        lower bounds on exact distances) and stops as soon as the next
+        filter lower bound exceeds the current k-th exact distance — so the
+        answer is exact, not merely a re-ranking of a fixed candidate pool.
+
+        Each opened node's rectangles are transformed as one array and
+        bounded in one pass; each opened leaf's records are scored with one
+        gathered exact-distance kernel call.  A record counts as a
+        candidate (and a record fetch) only when the search pulls it, and
+        the current best ``k`` live in a bounded heap.
         """
         if k <= 0:
             raise ValueError("k must be positive")
         started = time.perf_counter()
         self.tree.reset_stats()
         linear, real_map = self._lower_transformation(transformation)
-        query_features = self._query_features(query)
-        if transformation is not None and transform_query:
-            query_full = self._full_transformed(query_features, transformation)
-            query_point = self._transform_point(query_features.point, linear)
-        else:
-            query_full = (query_features.full_coefficients, query_features.mean,
-                          query_features.std)
-            query_point = query_features.point
-        best: list[tuple[TimeSeries, float]] = []
+        query_full, query_point = self._prepare_query(query, transformation, linear,
+                                                      transform_query)
+        point = query_point.values
+        space = self.space
+
+        def lower_bounds(lows: np.ndarray, highs: np.ndarray) -> list[float]:
+            if real_map is not None:
+                lows, highs = real_map.apply_bounds(lows, highs)
+            if isinstance(space, PolarSpace):
+                return space.mindist_to_rectangles(point, lows, highs)
+            return mindist_batch(point, lows, highs).tolist()
+
+        coefficients, means, stds = self.store.transformed_arrays(transformation)
+
+        def score(record_ids: np.ndarray) -> list[float]:
+            return exact_distances(coefficients, self.store.lengths, means, stds,
+                                   *query_full, self.extractor.include_stats,
+                                   row_ids=record_ids).tolist()
+
+        # Max-heap of the best k as (-distance, -pull number, record id): the
+        # root is the k-th nearest, the latest pull losing ties.
+        best: list[tuple[float, int, int]] = []
         pulled = 0
-        distance_to_rect = None
-        if isinstance(self.space, PolarSpace):
-            space = self.space
-
-            def distance_to_rect(point_values, rect):  # noqa: ANN001 - local closure
-                return space.mindist_to_rectangle(FeatureVector(point_values),
-                                                  rect.low, rect.high)
-
-        for lower_bound, record_id in self._nearest_candidate_iter(
-                query_point, real_map, distance_to_rect):
-            if len(best) >= k and lower_bound > best[k - 1][1]:
+        for bound, record_id, distance in self._nearest_candidate_iter(lower_bounds,
+                                                                       score):
+            if len(best) >= k and bound > -best[0][0]:
                 break
             pulled += 1
-            candidate_full = transform_full_record(
-                *self.store.full_record(record_id), transformation,
-                owner="stored record")
-            distance = self._exact_distance(candidate_full, query_full)
-            best.append((self.store.series(record_id), distance))
-            best.sort(key=lambda pair: pair[1])
-            best = best[: max(k, len(best))]
-        result = NearestNeighborResult(answers=best[:k])
+            if len(best) < k:
+                heapq.heappush(best, (-distance, -pulled, record_id))
+            elif distance < -best[0][0]:
+                heapq.heapreplace(best, (-distance, -pulled, record_id))
+        best.sort(reverse=True)
+        result = NearestNeighborResult(
+            answers=[(self.store.series(record_id), -negated)
+                     for negated, _, record_id in best])
         result.statistics.candidates = pulled
         result.statistics.postprocessed = pulled
         result.statistics.record_fetches = pulled

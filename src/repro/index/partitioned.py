@@ -42,14 +42,14 @@ from typing import Any, Callable, Iterable, Sequence
 import numpy as np
 
 from ..core.parallel import parallel_map, resolve_workers
+from ..core.transformations import RealLinearTransformation
 from ..storage.buffer import BufferStatistics
 from ..storage.pages import PageStore
 from ..storage.partition import DEFAULT_PARTITION_ROWS
 from ..timeseries.features import SeriesFeatureExtractor
-from .kindex import KIndex, NearestNeighborResult, RangeQueryResult
+from .kindex import KIndex, NearestNeighborResult, RangeQueryResult, _best_first
 from .metric import MetricIndex
 from .rtree import NodeAccessStats, RTree
-from .transformed import transformed_nearest_neighbors_iter, transformed_range_search
 
 __all__ = ["PartitionedIndex", "PartitionedMetricIndex"]
 
@@ -110,11 +110,14 @@ class _PartitionForest:
                      tasks, workers=self.workers)
 
     def search_many(self, windows: Sequence[Any], *,
-                    periodic_dims: np.ndarray | None = None) -> list[list[Any]]:
+                    periodic_dims: np.ndarray | None = None,
+                    transformation: RealLinearTransformation | None = None
+                    ) -> list[list[Any]]:
         """Batched window search fanned across sub-trees, merged per query
         in partition order (deterministic at any worker count)."""
         per_tree = parallel_map(
-            lambda tree: tree.search_many(windows, periodic_dims=periodic_dims),
+            lambda tree: tree.search_many(windows, periodic_dims=periodic_dims,
+                                          transformation=transformation),
             [(tree,) for tree in self.trees], workers=self.workers)
         merged: list[list[Any]] = [[] for _ in windows]
         for tree_results in per_tree:
@@ -236,31 +239,19 @@ class PartitionedIndex(KIndex):
         return index
 
     # ------------------------------------------------------------------
-    # traversal hooks: the only KIndex behaviour that changes
+    # traversal hook: the only KIndex behaviour that changes (range
+    # searches fan out inside the forest's ``search_many``)
     # ------------------------------------------------------------------
-    def _range_candidates(self, window, real_map) -> list[int]:
-        """Fan the transformed window search across sub-trees; candidates
-        concatenate in partition order (ids stay global — the inherited
-        gathered verification needs nothing else)."""
-        overlap = self._overlap_predicate()
-        lists = parallel_map(
-            lambda tree: transformed_range_search(tree, window, real_map,
-                                                  overlap=overlap),
-            [(tree,) for tree in self.tree.trees], workers=self.workers)
-        return [record_id for candidates in lists for record_id in candidates]
-
-    def _nearest_candidate_iter(self, query_point, real_map, distance_to_rect):
+    def _nearest_candidate_iter(self, lower_bounds, score):
         """K-way heap merge of the per-partition best-first streams.
 
-        Each stream yields ``(lower bound, record id)`` ascending, so the
-        merge yields the globally ascending stream and the caller's
-        stopping rule ("next bound exceeds the k-th exact distance") sees
-        exactly what a single-tree traversal would show it.
+        Each stream yields ``(lower bound, record id, exact distance)``
+        ascending, so the merge yields the globally ascending stream and the
+        caller's stopping rule ("next bound exceeds the k-th exact
+        distance") sees exactly what a single-tree traversal would show it.
         """
-        streams = [transformed_nearest_neighbors_iter(
-            tree, query_point.values, transformation=real_map,
-            distance_to_rect=distance_to_rect) for tree in self.tree.trees]
-        return heapq.merge(*streams)
+        return heapq.merge(*(_best_first(tree, lower_bounds, score)
+                             for tree in self.tree.trees))
 
     def __repr__(self) -> str:
         return (f"PartitionedIndex(size={len(self)}, "

@@ -23,9 +23,10 @@ from typing import Any
 import numpy as np
 
 from ..core.errors import IndexError_
+from ..core.transformations import RealLinearTransformation
 from ..storage.buffer import BufferPool
 from ..storage.pages import PageStore
-from .geometry import Rect, mindist_batch, overlap_matrix
+from .geometry import Rect, mindist_batch, overlap_pairs
 
 __all__ = ["RTreeEntry", "RTreeNode", "NodeAccessStats", "RTree"]
 
@@ -131,7 +132,7 @@ class RTree:
         self._buffer = (BufferPool(page_store, capacity=buffer_capacity)
                         if page_store is not None else None)
         self._node_pages: dict[int, int] = {}
-        self._entry_arrays_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._node_arrays_cache: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self.root_id = self._new_node(is_leaf=True).node_id
 
     # ------------------------------------------------------------------
@@ -164,22 +165,39 @@ class RTree:
         return node
 
     def _mark_dirty(self, node: RTreeNode) -> None:
-        self._entry_arrays_cache.pop(node.node_id, None)
+        self._node_arrays_cache.pop(node.node_id, None)
         if self._page_store is not None:
             self._page_store.write(self._node_pages[node.node_id], node)
 
-    def _entry_arrays(self, node: RTreeNode) -> tuple[np.ndarray, np.ndarray]:
-        """The node's entry rectangles as stacked ``(n, d)`` corner arrays.
+    def node_arrays(self, node: RTreeNode) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The node's entries as arrays: ``(n, d)`` low and high corners plus
+        the ``(n,)`` payloads (child ids of an internal node, records of a
+        leaf).
 
-        Cached per node (invalidated by :meth:`_mark_dirty` on any mutation)
-        so that repeated batched probes pay the stacking cost once.
+        Cached per node and invalidated by :meth:`_mark_dirty` on any
+        mutation, so traversals pay the stacking cost once per node version.
+        Leaf records that are all plain ints are kept as an integer array
+        (gathers and ``tolist`` stay cheap); any other records as an object
+        array.
         """
-        cached = self._entry_arrays_cache.get(node.node_id)
+        cached = self._node_arrays_cache.get(node.node_id)
         if cached is None:
-            lows = np.vstack([entry.rect.low for entry in node.entries])
-            highs = np.vstack([entry.rect.high for entry in node.entries])
-            cached = (lows, highs)
-            self._entry_arrays_cache[node.node_id] = cached
+            entries = node.entries
+            if entries:
+                lows = np.vstack([entry.rect.low for entry in entries])
+                highs = np.vstack([entry.rect.high for entry in entries])
+            else:
+                lows = highs = np.empty((0, self.dimension))
+            if not node.is_leaf:
+                payloads = np.array([entry.child_id for entry in entries], dtype=np.intp)
+            elif all(type(entry.record) is int for entry in entries):
+                payloads = np.array([entry.record for entry in entries], dtype=np.intp)
+            else:
+                payloads = np.empty(len(entries), dtype=object)
+                for position, entry in enumerate(entries):
+                    payloads[position] = entry.record
+            cached = (lows, highs, payloads)
+            self._node_arrays_cache[node.node_id] = cached
         return cached
 
     @property
@@ -410,37 +428,33 @@ class RTree:
     # ------------------------------------------------------------------
     def search(self, window: Rect) -> list[Any]:
         """All records whose rectangle intersects ``window``."""
-        results: list[Any] = []
-        self._search_node(self.root_id, window, results)
-        return results
-
-    def _search_node(self, node_id: int, window: Rect, results: list[Any]) -> None:
-        node = self.visit(node_id)
-        if node.is_leaf:
-            results.extend(entry.record for entry in node.entries
-                           if entry.rect.intersects(window))
-            return
-        for entry in node.entries:
-            if entry.rect.intersects(window):
-                self._search_node(entry.child_id, window, results)
+        return self.search_many([window])[0]
 
     def search_many(self, windows: Sequence[Rect], *,
-                    periodic_dims: np.ndarray | None = None) -> list[list[Any]]:
-        """Range searches for a whole batch of windows in one shared traversal.
+                    periodic_dims: np.ndarray | None = None,
+                    transformation: RealLinearTransformation | None = None
+                    ) -> list[list[Any]]:
+        """Range searches for a whole batch of windows, one tree level at a time.
 
-        The tree is walked once: every visited node carries the subset of
-        still-active queries, and the entry-versus-window overlap tests for
-        the whole node are evaluated as one vectorised
-        :func:`~repro.index.geometry.overlap_matrix` call instead of a
-        per-entry Python loop.  A node serving several queries is therefore
-        visited (and counted) once, which is where batched execution gains
-        over issuing the searches one at a time.
+        The traversal is level-synchronous.  The nodes open on a level are
+        visited once each (through :meth:`visit`, so the access counters
+        stay exact), their cached entry arrays (:meth:`node_arrays`) are
+        concatenated, and every (node, still-active window) pair is expanded
+        to that node's entries: the whole level's overlap tests then run as
+        **one** :func:`~repro.index.geometry.overlap_pairs` kernel call.  A
+        child opens on the next level when its entry hits at least one
+        window active at its parent — exactly the nodes a per-window descent
+        would open, each once per batch however many windows need it.
 
-        ``periodic_dims`` optionally marks wrap-around dimensions (phase
-        angles of the polar feature layout) so their overlap test is taken
-        modulo ``2*pi``.
+        ``transformation`` is applied to the gathered entry rectangles before
+        the test: this is Algorithm 2 (search under an on-the-fly
+        transformation, see :mod:`repro.index.transformed`) in vectorised
+        form.  ``periodic_dims`` optionally marks wrap-around dimensions
+        (phase angles of the polar feature layout) so their overlap test is
+        taken modulo ``2*pi``.
 
-        Returns one result list per window, aligned with the input order.
+        Returns one result list per window, aligned with the input order;
+        each list holds its records in level order.
         """
         results: list[list[Any]] = [[] for _ in windows]
         if not windows:
@@ -453,28 +467,44 @@ class RTree:
                 )
         window_lows = np.vstack([window.low for window in windows])
         window_highs = np.vstack([window.high for window in windows])
-        stack: list[tuple[int, np.ndarray]] = [
-            (self.root_id, np.arange(len(windows)))
-        ]
-        while stack:
-            node_id, active = stack.pop()
-            node = self.visit(node_id)
-            if not node.entries:
-                continue
-            lows, highs = self._entry_arrays(node)
-            hits = overlap_matrix(lows, highs, window_lows[active],
-                                  window_highs[active], periodic_dims)
-            if node.is_leaf:
-                entry_ids, query_ids = np.nonzero(hits)
-                for entry_index, query_index in zip(entry_ids.tolist(),
-                                                    query_ids.tolist()):
-                    results[int(active[query_index])].append(
-                        node.entries[entry_index].record)
+        frontier = [self.root_id]
+        # The active (node, window) pairs: frontier positions and window rows.
+        pair_nodes = np.zeros(len(windows), dtype=np.intp)
+        pair_windows = np.arange(len(windows))
+        while frontier:
+            nodes = [self.visit(node_id) for node_id in frontier]
+            arrays = [self.node_arrays(node) for node in nodes]
+            if len(arrays) == 1:
+                lows, highs, payloads = arrays[0]
             else:
-                for entry_index, entry in enumerate(node.entries):
-                    survivors = active[hits[entry_index]]
-                    if survivors.size:
-                        stack.append((entry.child_id, survivors))
+                lows = np.concatenate([entry[0] for entry in arrays])
+                highs = np.concatenate([entry[1] for entry in arrays])
+                payloads = np.concatenate([entry[2] for entry in arrays])
+            if transformation is not None:
+                lows, highs = transformation.apply_bounds(lows, highs)
+            # Expand each pair to one row per entry of its node.
+            counts = np.array([len(node.entries) for node in nodes], dtype=np.intp)
+            per_pair = counts[pair_nodes]
+            pair_starts = np.cumsum(per_pair) - per_pair
+            node_starts = np.cumsum(counts) - counts
+            entries = (np.repeat(node_starts[pair_nodes] - pair_starts, per_pair)
+                       + np.arange(int(per_pair.sum())))
+            entry_windows = np.repeat(pair_windows, per_pair)
+            hits = overlap_pairs(lows[entries], highs[entries], window_lows[entry_windows],
+                                 window_highs[entry_windows], periodic_dims)
+            entries = entries[hits]
+            entry_windows = entry_windows[hits]
+            if nodes[0].is_leaf:  # height-balanced: a level is all leaves or none
+                order = np.argsort(entry_windows, kind="stable")
+                records = payloads[entries[order]].tolist()
+                bounds = np.searchsorted(entry_windows[order],
+                                         np.arange(len(windows) + 1)).tolist()
+                for window_row in range(len(windows)):
+                    results[window_row] = records[bounds[window_row]:bounds[window_row + 1]]
+                return results
+            opened, pair_nodes = np.unique(entries, return_inverse=True)
+            pair_windows = entry_windows
+            frontier = payloads[opened].tolist()
         return results
 
     def nearest_neighbors(self, point: Sequence[float] | np.ndarray, k: int = 1
@@ -508,7 +538,7 @@ class RTree:
                 continue
             # One vectorised MINDIST evaluation over the whole node instead
             # of a per-entry loop.
-            lows, highs = self._entry_arrays(node)
+            lows, highs, _ = self.node_arrays(node)
             distances = mindist_batch(point, lows, highs)
             for entry, d in zip(node.entries, distances.tolist()):
                 if node.is_leaf:

@@ -89,6 +89,10 @@ def transformed_range_search(tree: RTree, window: Rect,
     entry visited; ``None`` degenerates to a plain window query.  ``overlap``
     overrides the rectangle-intersection test (needed for periodic
     dimensions).
+
+    This entry-at-a-time form is the reference;
+    :meth:`RTree.search_many` runs the same search a tree level at a time
+    with vectorised kernels, and that is what the k-index executes.
     """
     if overlap is None:
         overlap = Rect.intersects

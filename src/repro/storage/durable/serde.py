@@ -110,7 +110,7 @@ def _deserialize_rtree(payload: dict[str, Any]) -> RTree:
             page_store.free(page_id)
     tree._nodes.clear()
     tree._node_pages.clear()
-    tree._entry_arrays_cache.clear()
+    tree._node_arrays_cache.clear()
     max_id = -1
     for record in payload["nodes"]:
         node = RTreeNode(

@@ -2,10 +2,8 @@
 
 The original evaluation reports *disk accesses*; a pure in-memory Python
 reproduction has no disk, so the storage layer simulates one.  A
-:class:`PageStore` hands out fixed-size pages addressed by page id, counts
-reads and writes, and (optionally) charges a synthetic latency so that
-benchmark timings reflect the I/O asymmetry between index traversal and
-sequential scanning, not just Python CPU time.
+:class:`PageStore` hands out fixed-size pages addressed by page id and
+counts reads and writes, which benchmarks report as "disk" accesses.
 
 The R-tree/R*-tree map each node to one page; the sequential-scan baselines
 read the data file page by page.  Nothing is ever written to the real file
@@ -83,17 +81,12 @@ class PageStore:
     page_size:
         Nominal page size in bytes; only used by helpers that estimate
         capacity (e.g. how many sequence entries fit on a data page).
-    read_penalty:
-        Optional artificial latency (seconds) charged per read, so that
-        benchmark comparisons between index traversal and sequential scans
-        include an I/O cost model.  Zero (the default) disables it.
     """
 
-    def __init__(self, page_size: int = PAGE_SIZE_BYTES, read_penalty: float = 0.0) -> None:
+    def __init__(self, page_size: int = PAGE_SIZE_BYTES) -> None:
         if page_size <= 0:
             raise StorageError("page size must be positive")
         self.page_size = int(page_size)
-        self.read_penalty = float(read_penalty)
         self.stats = IOStatistics()
         self._pages: dict[int, Page] = {}
         self._next_page_id = 0
@@ -114,8 +107,6 @@ class PageStore:
         """Read a page's payload (counted as one disk read)."""
         page = self._lookup(page_id)
         self.stats.reads += 1
-        if self.read_penalty > 0.0:
-            _spin(self.read_penalty)
         return page.payload
 
     def write(self, page_id: int, payload: Any) -> None:
@@ -154,17 +145,3 @@ class PageStore:
     def __repr__(self) -> str:
         return (f"PageStore(pages={len(self)}, reads={self.stats.reads}, "
                 f"writes={self.stats.writes})")
-
-
-def _spin(seconds: float) -> None:
-    """Busy-wait for a very small duration.
-
-    ``time.sleep`` has poor resolution for sub-millisecond penalties on some
-    platforms; a busy wait keeps the charged latency deterministic enough for
-    benchmarking while remaining tiny.
-    """
-    import time
-
-    deadline = time.perf_counter() + seconds
-    while time.perf_counter() < deadline:
-        pass

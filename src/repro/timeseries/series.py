@@ -15,6 +15,7 @@ from typing import Any
 
 import numpy as np
 
+from ..core.errors import InvalidObjectError
 from ..core.objects import DataObject, FeatureVector
 from ..core.spaces import FeatureSpace
 from . import dft as dft_module
@@ -43,9 +44,12 @@ class TimeSeries(DataObject):
         array = np.asarray(list(values) if not isinstance(values, np.ndarray) else values,
                            dtype=np.float64)
         if array.ndim != 1:
-            raise ValueError("a time series must be one-dimensional")
+            raise InvalidObjectError("a time series must be one-dimensional")
         if array.shape[0] == 0:
-            raise ValueError("a time series must contain at least one value")
+            raise InvalidObjectError("a time series must contain at least one value")
+        if not np.isfinite(array).all():
+            raise InvalidObjectError("a time series must hold finite values "
+                                     "(no NaN or infinity)")
         array = array.copy()
         array.setflags(write=False)
         super().__init__(object_id=object_id, name=name, payload=payload)

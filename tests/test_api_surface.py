@@ -30,7 +30,7 @@ EXPECTED_ALL = [
     "DistanceHistogram",
     "DistanceProvider", "DurableDatabase", "FaultPlan", "FeatureVector",
     "FunctionTransformation", "GenericObject", "IdentityTransformation",
-    "IndexAdvisor", "IndexRecommendation",
+    "IndexAdvisor", "IndexRecommendation", "InvalidObjectError",
     "KIndex", "LinearTransformation", "MaxCostModel", "MetricIndex",
     "MovingAverageTransform", "NearestNeighborQuery", "NearestNeighborResult",
     "ObjectRef",

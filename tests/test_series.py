@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.errors import InvalidObjectError, ReproError
 from repro.core.spaces import PolarSpace
 from repro.timeseries.normalform import denormalize, normal_form_values, normalize
 from repro.timeseries.series import TimeSeries
@@ -27,6 +30,13 @@ class TestTimeSeries:
             TimeSeries([])
         with pytest.raises(ValueError):
             TimeSeries(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, bad):
+        with pytest.raises(InvalidObjectError, match="finite") as caught:
+            TimeSeries([1.0, bad, 3.0])
+        assert isinstance(caught.value, ReproError)
+        assert isinstance(caught.value, ValueError)
 
     def test_values_read_only(self):
         series = TimeSeries([1.0, 2.0])

@@ -12,6 +12,7 @@ ran.
 
 from __future__ import annotations
 
+import math
 import socket
 import threading
 import time
@@ -180,6 +181,21 @@ class TestServing:
         remote = client.sql(query.build().describe(), q=data[0])
         local = session.sql(query, q=data[0])
         assert len(remote) == len(local)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_query_parameter_is_a_query_error(self, served, bad):
+        handle, client, _, data = served
+        payload = encode_param(data[0])
+        payload["_obj"]["values"][5] = bad
+        for query in (RANGE_SQL, "SELECT FROM walks NEAREST 3 TO $q"):
+            with socket.create_connection(handle.address, timeout=5.0) as sock:
+                send_frame(sock, {"id": 1, "op": "sql", "query": query,
+                                  "params": {"q": payload}})
+                response = recv_frame(sock)
+            assert response["ok"] is False
+            assert response["code"] == "QUERY_ERROR"
+            assert "InvalidObjectError" in response["error"]
+        assert len(client.sql(RANGE_SQL, q=data[0])) >= 1
 
     def test_prepared_statement(self, served):
         _, client, session, data = served

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro import (
     CatalogError,
     Database,
+    InvalidObjectError,
     KIndex,
     MetricIndex,
     PreparedQuery,
@@ -17,6 +20,7 @@ from repro import (
     Session,
     SessionClosedError,
     StringObject,
+    TimeSeries,
     connect,
     moving_average_spectral,
     random_walk_collection,
@@ -212,6 +216,39 @@ class TestRelationHandle:
         fresh.insert_many(data[2:])
         assert len(fresh) == 2
         assert len(session.database.index("walks")) == 2
+
+
+class TestNonFiniteInput:
+    """NaN and infinity are refused where a series is built, before any
+    relation, index or cache changes."""
+
+    def test_nan_row_leaves_relation_and_index_unchanged(self):
+        data = random_walk_collection(50, LENGTH, seed=5)
+        session = connect()
+        handle = session.relation("walks").insert_many(data) \
+            .with_index(KIndex(SeriesFeatureExtractor(2)))
+        index = session.database.index("walks")
+        good = random_walk_collection(1, LENGTH, seed=6)[0]
+        bad = good.values.copy()
+        bad[3] = math.nan
+        with pytest.raises(InvalidObjectError):
+            handle.insert_many(row for row in (good, TimeSeries(bad)))
+        assert len(handle) == 50
+        assert len(index) == 50
+        assert len(session.sql("SELECT FROM walks WHERE dist(series, $q) < 1000.0",
+                               q=data[0]).answers) == 50
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_query_parameter_is_rejected(self, walk_session, bad):
+        session, data = walk_session
+        values = data[0].values.copy()
+        values[5] = bad
+        with pytest.raises(InvalidObjectError):
+            session.sql("SELECT FROM walks WHERE dist(series, $q) < 2.0",
+                        q=TimeSeries(values))
+        with pytest.raises(InvalidObjectError):
+            session.sql("SELECT FROM walks NEAREST 3 TO $q", q=TimeSeries(values))
+        assert len(session.answer_cache) == 0
 
 
 class TestSql:
